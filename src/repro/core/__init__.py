@@ -4,7 +4,7 @@ from .formula import ANY, FALSE, TRUE, And, Formula, Not, Or, Predicate, V, Var,
 from .population import Population
 from .protocol import Protocol, Thread, compose, count_matching, single_thread
 from .rules import Branch, DynamicRule, Outcome, Rule, coin_rule, rule
-from .state import Field, State, StateSchema
+from .state import Field, State, StateSchema, StateView
 
 __all__ = [
     "ANY",
@@ -24,6 +24,7 @@ __all__ = [
     "Rule",
     "State",
     "StateSchema",
+    "StateView",
     "Thread",
     "V",
     "Var",

@@ -6,6 +6,17 @@ rule uniformly within the thread (the paper normalizes rule counts across
 threads; weighting achieves the same effect here).  Composing protocol P2
 "on top of" P1 means P2's rules never write P1's variables; this module
 checks that discipline when asked.
+
+:meth:`Protocol.transition` keeps a per-protocol memo of one entry per
+distinct state code it has evaluated: a read-only
+:class:`~repro.core.state.StateView` plus two rule bitmasks saying which
+rules' initiator and responder guards accept that state.  A pair then only
+fires the rules in the intersection of its two masks.  The memo relies on
+the contract of :mod:`repro.core.rules` (guards are pure functions of one
+agent's state; outcome functions receive read-only views).  It holds at
+most one entry per distinct state code ``transition`` was called with:
+the states of the pairs a transition table memoizes, which takes up to
+k² pair entries for k states.  The memo is dropped on pickling.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .formula import Formula
 from .rules import Outcome, Rule
-from .state import StateSchema
+from .state import StateSchema, StateView
 
 
 class Thread:
@@ -69,6 +80,16 @@ class Protocol:
         self.schema = schema
         self.threads = tuple(threads)
         self._draw_probabilities: Optional[List[Tuple[Rule, float]]] = None
+        self._views: Dict[int, Tuple[StateView, int, int]] = {}
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_views"]  # a cache: replica payloads stay as they were
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._views = {}
 
     # -- structure -----------------------------------------------------------
     @property
@@ -104,9 +125,16 @@ class Protocol:
         (non-matching rule drawn, identity update, or a rule's explicit null
         branch).
         """
+        draws = self.rule_draw_probabilities()
+        view_a, live, _ = self._state_entry(code_a)
+        view_b, _, mask_b = self._state_entry(code_b)
+        live &= mask_b
         merged: Dict[Tuple[int, int], float] = {}
-        for rule, draw_p in self.rule_draw_probabilities():
-            for new_a, new_b, branch_p in rule.outcomes(self.schema, code_a, code_b):
+        while live:  # matching rules in rule order, lowest bit first
+            low = live & -live
+            live ^= low
+            rule, draw_p = draws[low.bit_length() - 1]
+            for new_a, new_b, branch_p in rule.fire(view_a, view_b):
                 if new_a == code_a and new_b == code_b:
                     continue
                 key = (new_a, new_b)
@@ -114,6 +142,26 @@ class Protocol:
         outcomes = [(a, b, p) for (a, b), p in merged.items()]
         p_change = sum(p for _, _, p in outcomes)
         return outcomes, p_change
+
+    def _state_entry(self, code: int) -> Tuple[StateView, int, int]:
+        """Memoized ``(view, guard_a mask, guard_b mask)`` of one state.
+
+        Bit ``i`` of a mask is set when rule ``i`` (in
+        :meth:`rule_draw_probabilities` order) accepts the state as
+        initiator / responder.
+        """
+        entry = self._views.get(code)
+        if entry is None:
+            view = StateView(self.schema, code)
+            mask_a = mask_b = 0
+            for i, (rule, _) in enumerate(self.rule_draw_probabilities()):
+                if rule._ga(view):
+                    mask_a |= 1 << i
+                if rule._gb(view):
+                    mask_b |= 1 << i
+            entry = (view, mask_a, mask_b)
+            self._views[code] = entry
+        return entry
 
     # -- composition ------------------------------------------------------------
     def composed_with(self, *others: "Protocol", name: Optional[str] = None) -> "Protocol":

@@ -14,6 +14,14 @@ callables mutating :class:`~repro.core.state.State` views.
 Randomized rules — the paper's model grants each agent a constant number of
 fair coin tosses per interaction — are expressed through *branches*: a list
 of ``(probability, update)`` alternatives.
+
+Contract for guards and outcome functions: a guard is a pure function of
+one agent's state, and guards and :class:`DynamicRule` outcome functions
+receive read-only :class:`~repro.core.state.StateView` objects (branch
+effects act on mutable copies).
+:meth:`~repro.core.protocol.Protocol.transition` relies on this: it
+evaluates every guard once per distinct state code, not once per pair,
+and shares one view per code across all rules.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .formula import ANY, Formula, coerce_formula
-from .state import State, StateSchema
+from .state import State, StateSchema, StateView
 
 UpdateLike = Union[None, Mapping[str, object], Formula]
 Effect = Callable[[State, State], None]
@@ -143,12 +151,26 @@ class Rule:
 
         Probabilities are conditional on this rule having been drawn; they
         sum to at most 1 (deficit = explicit null branch)."""
-        a = schema.unpack(code_a)
-        b = schema.unpack(code_b)
+        a = StateView(schema, code_a)
+        b = StateView(schema, code_b)
         if not self.matches(a, b):
             return []
+        return self.fire(a, b)
+
+    def fire(self, a: StateView, b: StateView) -> List[Outcome]:
+        """The outcomes of this rule on a pair already known to match.
+
+        ``a`` and ``b`` are read-only views; each branch acts on copies.
+        """
         results: List[Outcome] = []
         for branch in self.branches:
+            if branch.effect is None:
+                results.append((
+                    a.code_with(branch.update_a),
+                    b.code_with(branch.update_b),
+                    branch.probability,
+                ))
+                continue
             new_a = a.copy()
             new_b = b.copy()
             branch.apply(new_a, new_b)
@@ -236,12 +258,13 @@ def _conjoin(base: Guard, extra: Guard) -> Guard:
 class DynamicRule(Rule):
     """A rule whose outcome distribution depends on the matched states.
 
-    ``outcome_fn(a, b)`` receives the two (read-only) state views and
-    returns a list of ``(assignments_a, assignments_b, probability)``
-    triples (probabilities summing to at most 1; the deficit is a null
-    branch).  Used for rules that are natural as *functions* of the pair —
-    the clock ring advance (one rule instead of ``3k`` bit-mask rules) and
-    the hierarchy's slowed simulation of an inner protocol (Section 5.3).
+    ``outcome_fn(a, b)`` receives the two read-only state views
+    (assigning to one raises :class:`TypeError`) and returns a list of
+    ``(assignments_a, assignments_b, probability)`` triples (probabilities
+    summing to at most 1; the deficit is a null branch).  Used for rules
+    that are natural as *functions* of the pair — the clock ring advance
+    (one rule instead of ``3k`` bit-mask rules) and the hierarchy's slowed
+    simulation of an inner protocol (Section 5.3).
 
     Rules written this way remain finite-state population-protocol rules:
     the function is evaluated once per distinct state pair by the
@@ -262,22 +285,16 @@ class DynamicRule(Rule):
         super().__init__(guard_a, guard_b, weight=weight, name=name)
         self.outcome_fn = outcome_fn
 
-    def outcomes(self, schema: StateSchema, code_a: int, code_b: int) -> List[Outcome]:
-        a = schema.unpack(code_a)
-        b = schema.unpack(code_b)
-        if not self.matches(a, b):
-            return []
+    def fire(self, a: StateView, b: StateView) -> List[Outcome]:
         results: List[Outcome] = []
         total = 0.0
         for assign_a, assign_b, prob in self.outcome_fn(a, b):
             if prob <= 0:
                 raise ValueError("dynamic outcome probability must be positive")
             total += prob
-            new_a = a.copy()
-            new_b = b.copy()
-            new_a.update(assign_a or {})
-            new_b.update(assign_b or {})
-            results.append((new_a.code, new_b.code, prob))
+            results.append(
+                (a.code_with(assign_a or {}), b.code_with(assign_b or {}), prob)
+            )
         if total > 1.0 + 1e-9:
             raise ValueError(
                 "dynamic outcome probabilities sum to {} > 1".format(total)

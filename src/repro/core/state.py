@@ -84,6 +84,9 @@ class StateSchema:
         self.fields: List[Field] = []
         self._field_index: Dict[str, int] = {}
         self._radices: List[int] = []
+        # mixed-radix place value of each field; appending a field leaves
+        # the earlier ones unchanged
+        self._strides: Dict[str, int] = {}
         self._frozen = False
         for field in fields:
             self.add_field(field)
@@ -94,6 +97,7 @@ class StateSchema:
             raise RuntimeError("schema is frozen; cannot add fields")
         if field.name in self._field_index:
             raise ValueError("duplicate field name {!r}".format(field.name))
+        self._strides[field.name] = self.num_states
         self._field_index[field.name] = len(self.fields)
         self.fields.append(field)
         self._radices.append(field.size)
@@ -213,9 +217,29 @@ class State:
 
     @property
     def code(self) -> int:
-        return self._schema.pack(self._values)
+        # the values were validated on assignment: no index_of, no
+        # unknown-field check as in StateSchema.pack
+        code = 0
+        for field in reversed(self._schema.fields):
+            code = code * field.size + field._index[self._values[field.name]]
+        return code
+
+    def code_with(self, assignment: Mapping[str, object]) -> int:
+        """The code of this state with ``assignment`` applied.
+
+        Equals ``copy()``, ``update(assignment)``, ``.code`` (with the same
+        validation) but touches only the assigned fields.
+        """
+        schema = self._schema
+        code = self.code
+        for name, value in assignment.items():
+            field = schema.field(name)
+            delta = field.index_of(value) - field._index[self._values[name]]
+            code += delta * schema._strides[name]
+        return code
 
     def copy(self) -> "State":
+        """A mutable copy (also of a read-only :class:`StateView`)."""
         clone = State.__new__(State)
         object.__setattr__(clone, "_schema", self._schema)
         object.__setattr__(clone, "_values", dict(self._values))
@@ -276,3 +300,31 @@ class State:
             if v is not False and v != 0
         }
         return "State({})".format(on)
+
+
+class StateView(State):
+    """A read-only :class:`State`, as handed to guards and outcome functions.
+
+    :meth:`repro.core.protocol.Protocol.transition` shares one view per
+    state code across every rule it evaluates, so an assignment through a
+    view raises :class:`TypeError` instead of corrupting the rules
+    evaluated after it.  :meth:`copy` returns a mutable :class:`State`.
+    The code is known on construction and kept.
+    """
+
+    __slots__ = ("_code",)
+
+    def __init__(self, schema: StateSchema, code: int = 0):
+        super().__init__(schema, code)
+        # a Python int, as State.code returns, also for numpy integer codes
+        object.__setattr__(self, "_code", int(code))
+
+    @property
+    def code(self) -> int:
+        return self._code
+
+    def __setitem__(self, name: str, value: object) -> None:
+        raise TypeError(
+            "cannot assign {!r}: state views are read-only; "
+            "copy() the state to change it".format(name)
+        )

@@ -53,28 +53,47 @@ def apply_pairs(
     if num_states < 2 ** 31:
         flat_keys = state_a * num_states + state_b
         unique_flat, inverse = np.unique(flat_keys, return_inverse=True)
-        unique = [(int(k) // num_states, int(k) % num_states) for k in unique_flat]
+        unique = zip(
+            (unique_flat // num_states).tolist(), (unique_flat % num_states).tolist()
+        )
     else:
         keys = np.stack([state_a, state_b], axis=1)
         unique_arr, inverse = np.unique(keys, axis=0, return_inverse=True)
-        unique = [(int(a), int(b)) for a, b in unique_arr]
-    changed = 0
-    for group, (code_a, code_b) in enumerate(unique):
-        entry = table.outcomes(code_a, code_b)
-        members = np.nonzero(inverse == group)[0]
-        if entry.p_change <= 0.0:
+        unique = unique_arr.tolist()
+    inverse = inverse.reshape(-1)
+    entries = [table.outcomes(code_a, code_b) for code_a, code_b in unique]
+    p_change = np.array([entry.p_change for entry in entries])
+    # members of each group in index order, groups in order; only groups
+    # that can change draw, and one draw over all of them consumes the
+    # generator exactly as one draw per group did
+    order = np.argsort(inverse, kind="stable")
+    members = order[p_change[inverse[order]] > 0.0]
+    u = rng.random(len(members))
+    firing = u < p_change[inverse[members]]
+    hits = members[firing]
+    if len(hits) == 0:
+        return 0
+    u = u[firing]
+    groups = inverse[hits]
+    new_a = np.empty(len(hits), dtype=np.int64)
+    new_b = np.empty(len(hits), dtype=np.int64)
+    starts = np.flatnonzero(np.diff(groups)) + 1
+    for lo, hi in zip(
+        np.concatenate(([0], starts)).tolist(),
+        np.concatenate((starts, [len(hits)])).tolist(),
+    ):
+        entry = entries[groups[lo]]
+        if len(entry) == 1:
+            new_a[lo:hi] = entry.codes_a[0]
+            new_b[lo:hi] = entry.codes_b[0]
             continue
-        u = rng.random(len(members))
-        firing = u < entry.p_change
-        if not firing.any():
-            continue
-        hits = members[firing]
-        out_idx = np.searchsorted(entry.cum, u[firing], side="right")
+        out_idx = np.searchsorted(entry.cum, u[lo:hi], side="right")
         out_idx = np.minimum(out_idx, len(entry) - 1)
-        agents[idx_a[hits]] = entry.codes_a[out_idx]
-        agents[idx_b[hits]] = entry.codes_b[out_idx]
-        changed += len(hits)
-    return changed
+        new_a[lo:hi] = entry.codes_a[out_idx]
+        new_b[lo:hi] = entry.codes_b[out_idx]
+    agents[idx_a[hits]] = new_a
+    agents[idx_b[hits]] = new_b
+    return len(hits)
 
 
 def _collision_free_prefix(idx_a: np.ndarray, idx_b: np.ndarray) -> int:

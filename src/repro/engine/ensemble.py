@@ -496,13 +496,11 @@ class EnsembleEngine(Engine):
                 batchable = alive.copy()
             else:
                 consume = W.sum(axis=2) + W.sum(axis=1)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    per_state = np.where(
-                        consume > 0.0,
-                        self.accuracy * ca * pairs_total
-                        / np.maximum(consume, 1e-300),
-                        np.inf,
-                    )
+                # divide only where a state is consumed: the others cap
+                # nothing (no 1e-300 stand-in denominator to overflow)
+                budget = self.accuracy * ca * pairs_total
+                per_state = np.full(np.broadcast(budget, consume).shape, np.inf)
+                np.divide(budget, consume, out=per_state, where=consume > 0.0)
                 cap = per_state.min(axis=1)
                 cap = np.where(np.isfinite(cap), cap, 0.0)
                 expected = cap * p_change

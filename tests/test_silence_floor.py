@@ -146,6 +146,7 @@ class TestBGHKPUEndgame:
         assert eng.events == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestEnsembleEndgame:
     def test_rows_not_retired_at_1e8(self):
         from repro.engine.ensemble import EnsembleEngine
